@@ -41,9 +41,9 @@ __all__ = ["run_benchmarks", "check_regression", "GATED_BENCHMARKS"]
 #: Benchmarks whose regression CI fails on, and the field that is gated.
 #: The scheduler-pass benchmarks gate against ``BENCH_hotpath.json``;
 #: the simulator-loop benchmarks (:mod:`repro.bench.simloop`) gate
-#: against ``BENCH_simloop.json`` — :func:`check_regression` skips
-#: entries missing from either payload, so each baseline file gates
-#: only the benchmarks it contains.
+#: against ``BENCH_simloop.json`` — :func:`check_regression` gates
+#: exactly the benchmarks a baseline file contains, and fails when one
+#: of them is missing from the current run.
 GATED_BENCHMARKS = {
     "cbp_pass": "ms_per_pass",
     "pp_pass": "ms_per_pass",
@@ -356,13 +356,18 @@ def check_regression(current: dict, baseline: dict, max_ratio: float) -> list[st
     absolute micro timings are too host-dependent to gate on; the pass
     benchmarks are gated at a deliberately loose ``max_ratio`` (2x by
     default) so only an algorithmic regression, not runner noise,
-    trips CI.
+    trips CI.  The gate fails closed: a gated benchmark the baseline
+    records but the current run lacks is a failure, not a pass; one the
+    baseline lacks is not gated by that baseline.
     """
     failures: list[str] = []
     for name, field in GATED_BENCHMARKS.items():
         cur = current.get("benchmarks", {}).get(name)
         base = baseline.get("benchmarks", {}).get(name)
-        if cur is None or base is None:
+        if base is None:
+            continue
+        if cur is None or field not in cur:
+            failures.append(f"{name}.{field} missing from the current run")
             continue
         if base[field] > 0 and cur[field] > max_ratio * base[field]:
             failures.append(

@@ -17,6 +17,7 @@ to the user's request, exactly as a cold production system would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -59,6 +60,11 @@ class ImageProfile:
     _rank_cache: tuple[int, np.ndarray, bool] | None = field(
         default=None, repr=False, compare=False
     )
+    # Scalar statistics cache, keyed on `observations` the same way:
+    # (version, {stat key: value}), filled lazily per stat.
+    _stats: tuple[int, dict[object, float]] = field(
+        default_factory=lambda: (-1, {}), repr=False, compare=False
+    )
 
     def update(self, sampled: dict[str, np.ndarray], runtime_ms: float = 0.0) -> None:
         """Fold one completed run's sampled series into the profile."""
@@ -89,23 +95,46 @@ class ImageProfile:
             cache = self._rank_cache = (self.observations, ranks, ties)
         return cache[1], cache[2]
 
-    # -- the statistics CBP provisions with ---------------------------------
+    # -- the statistics the schedulers read ---------------------------------
+    #
+    # A profile only changes when a pod of its image completes, but every
+    # scheduling pass reads these for every resident of every device.
+    # Each is computed at most once per profile version; every scheduler
+    # reads them only through these accessors.
+
+    def _cached(self, key: object, compute: Callable[[], float]) -> float:
+        version, stats = self._stats
+        if version != self.observations:
+            stats = {}
+            self._stats = (self.observations, stats)
+        value = stats.get(key)
+        if value is None:
+            value = stats[key] = compute()
+        return value
+
+    def _samples(self) -> list[np.ndarray]:
+        if not self._mem_samples:
+            raise ValueError(f"no observations for image {self.image!r}")
+        return self._mem_samples
+
+    def sm_p75(self) -> float:
+        """75th percentile of the SM series: the expected compute load
+        (compute phases are where co-location interference happens)."""
+        return self._cached("sm_p75", lambda: float(np.percentile(self.sm_series, 75)))
+
+    def sm_max(self) -> float:
+        return self._cached("sm_max", lambda: float(self.sm_series.max()))
 
     def mem_percentile(self, q: float) -> float:
-        if not self._mem_samples:
-            raise ValueError(f"no observations for image {self.image!r}")
-        pooled = np.concatenate(self._mem_samples)
-        return float(np.percentile(pooled, q))
+        return self._cached(
+            ("mem", q), lambda: float(np.percentile(np.concatenate(self._samples()), q))
+        )
 
     def peak_mem_mb(self) -> float:
-        if not self._mem_samples:
-            raise ValueError(f"no observations for image {self.image!r}")
-        return float(max(s.max() for s in self._mem_samples))
+        return self._cached("peak_mem", lambda: float(max(s.max() for s in self._samples())))
 
     def mean_mem_mb(self) -> float:
-        if not self._mem_samples:
-            raise ValueError(f"no observations for image {self.image!r}")
-        return float(np.concatenate(self._mem_samples).mean())
+        return self._cached("mean_mem", lambda: float(np.concatenate(self._samples()).mean()))
 
 
 class ProfileStore:

@@ -183,8 +183,8 @@ class CBPScheduler(Scheduler):
                     lc += 1
                 profile = ctx.knots.profiles.get(res.image)
                 if profile is not None and profile.observations:
-                    pressure += float(np.percentile(profile.sm_series, 75))
-                    peak_pressure += float(profile.sm_series.max())
+                    pressure += profile.sm_p75()
+                    peak_pressure += profile.sm_max()
                     overshoots.append(max(profile.peak_mem_mb() - res.alloc_mb, 0.0))
                 else:
                     pressure += 0.3   # unknown image: assume moderate load
@@ -496,9 +496,7 @@ class CBPScheduler(Scheduler):
         view so several queries bound in one pass spread across devices."""
         profile = ctx.knots.profiles.get(pod.spec.image)
         if profile is not None and profile.observations:
-            # 75th percentile, not the mean: compute phases are where
-            # co-location interference actually happens.
-            return float(np.percentile(profile.sm_series, 75))
+            return profile.sm_p75()
         return pod.spec.trace.peak_sm() * 0.5
 
     def _provision(self, ctx: SchedulingContext, pod: Pod) -> float:

@@ -198,7 +198,8 @@ class PeakPredictionScheduler(CBPScheduler):
             free = cs.mem_capacity_mb[sleep_idx] - cs.alloc_mb[sleep_idx]
             order = np.lexsort((cs.id_rank[sleep_idx], -free))
             sleep_idx = sleep_idx[order]
-        sleeping = [int(i) for i in sleep_idx]
+        sleep_caps = aps.caps[sleep_idx]
+        woken = np.zeros(len(sleep_idx), dtype=bool)
 
         gpu_ids = cs.gpu_ids
         unplaced = 0
@@ -209,9 +210,12 @@ class PeakPredictionScheduler(CBPScheduler):
             is_lc = pod.spec.qos_class is QoSClass.LATENCY_CRITICAL
             if self._place_one_fast(ctx, pod, aps, alloc, peak, expected_sm, actions, is_lc, relaxed=False):
                 continue
-            wake_i = next((j for j in sleeping if alloc <= aps.caps[j]), None)
-            if wake_i is not None:
-                sleeping.remove(wake_i)
+            # First not-yet-woken sleeper in visit order that fits.
+            wakeable = ~woken & (alloc <= sleep_caps)
+            if wakeable.any():
+                k = int(np.argmax(wakeable))
+                woken[k] = True
+                wake_i = int(sleep_idx[k])
                 gpu_id = gpu_ids[wake_i]
                 actions.append(Wake(gpu_id))
                 aps.wake(wake_i)

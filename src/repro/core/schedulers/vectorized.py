@@ -106,8 +106,8 @@ class ArrayPassState:
                     lc += 1
                 profile = profiles.get(res.image)
                 if profile is not None and profile.observations:
-                    pressure += float(np.percentile(profile.sm_series, 75))
-                    peak_pressure += float(profile.sm_series.max())
+                    pressure += profile.sm_p75()
+                    peak_pressure += profile.sm_max()
                     self.push_overshoot(i, max(profile.peak_mem_mb() - res.alloc_mb, 0.0))
                 else:
                     pressure += 0.3

@@ -205,14 +205,16 @@ class WorkloadTrace:
         if step_ms <= 0:
             raise ValueError("step must be positive")
         times = np.arange(0.0, self.total_ms, step_ms)
-        sm = np.empty(times.shape)
-        mem = np.empty(times.shape)
-        tx = np.empty(times.shape)
-        rx = np.empty(times.shape)
-        for i, t in enumerate(times):
-            d = self.demand_at(float(t))
-            sm[i], mem[i], tx[i], rx[i] = d.sm, d.mem_mb, d.tx_mbps, d.rx_mbps
-        return {"sm": sm, "mem_mb": mem, "tx_mbps": tx, "rx_mbps": rx}
+        # demand_at, batched: the phase whose end is the first past t,
+        # clamped to the last phase.
+        cum, rows = self.demand_table()
+        idx = np.minimum(np.searchsorted(cum, times, side="right"), len(rows) - 1)
+        return {
+            "sm": rows[idx, 0],
+            "mem_mb": rows[idx, 1],
+            "tx_mbps": rows[idx, 2],
+            "rx_mbps": rows[idx, 3],
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -46,6 +46,54 @@ class TestImageProfile:
         assert len(profile._mem_samples) <= 32
         assert profile.observations == 40
 
+    def test_cached_stats_equal_fresh_recomputation(self):
+        """Over 40 updates (crossing the 32-sample eviction), every cached
+        accessor equals the statistic recomputed from scratch, and the
+        cache refreshes after each update."""
+        profile = ImageProfile("img")
+        rng = np.random.default_rng(7)
+        previous = None
+        for k in range(40):
+            trace = make_trace(
+                duration_ms=float(rng.integers(50, 400)),
+                sm=float(rng.uniform(0.05, 0.6)),
+                mem_mb=float(rng.uniform(500, 4_000)),
+                peak_mem_mb=4_000.0 + 100.0 * k,     # a new peak each run
+            )
+            profile.update(trace.sample_series(5.0), runtime_ms=trace.total_ms)
+            pooled = np.concatenate(profile._mem_samples)
+            fresh = {
+                "sm_p75": float(np.percentile(profile.sm_series, 75)),
+                "sm_max": float(profile.sm_series.max()),
+                "peak_mem_mb": float(max(s.max() for s in profile._mem_samples)),
+                "mem_p80": float(np.percentile(pooled, 80)),
+                "mem_p50": float(np.percentile(pooled, 50)),
+                "mean_mem_mb": float(pooled.mean()),
+            }
+            for _ in range(2):          # the second read is served by the cache
+                cached = {
+                    "sm_p75": profile.sm_p75(),
+                    "sm_max": profile.sm_max(),
+                    "peak_mem_mb": profile.peak_mem_mb(),
+                    "mem_p80": profile.mem_percentile(80),
+                    "mem_p50": profile.mem_percentile(50),
+                    "mean_mem_mb": profile.mean_mem_mb(),
+                }
+                assert cached == fresh, k
+            if previous is not None:
+                # Each run moves these, so a stale cache could not pass
+                # the equality above.
+                for key in ("sm_p75", "sm_max", "peak_mem_mb", "mean_mem_mb"):
+                    assert cached[key] != previous[key], (k, key)
+            previous = cached
+        assert len(profile._mem_samples) == 32
+
+    def test_cached_stats_raise_without_observations(self):
+        profile = ImageProfile("img")
+        for read in (profile.peak_mem_mb, profile.mean_mem_mb, lambda: profile.mem_percentile(80)):
+            with pytest.raises(ValueError):
+                read()
+
 
 class TestProfileStore:
     def test_record_creates_profile(self):

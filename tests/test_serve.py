@@ -383,7 +383,6 @@ class TestFrontDoorE2E:
         svc = KnotsService(cfg)
         front = FrontDoor(svc, "127.0.0.1", 0).start()
         runner = threading.Thread(target=svc.run, daemon=True)
-        runner.start()
         try:
             base = front.address
             status, body = _get(f"{base}/healthz")
@@ -394,6 +393,8 @@ class TestFrontDoorE2E:
             assert status == 400
 
             # A burst far above queue capacity: some accepted, some shed.
+            # The engine is not running yet, so nothing drains the queue
+            # while the burst arrives: it fills, then sheds, on any host.
             codes = []
             retry_after = None
             for i in range(80):
@@ -407,7 +408,8 @@ class TestFrontDoorE2E:
             assert codes.count(429) >= 1, "backpressure never engaged"
             assert retry_after is not None and int(retry_after) >= 1
 
-            # Wait until at least one admitted pod got a placement.
+            # Start the engine; wait until an admitted pod got a placement.
+            runner.start()
             deadline = time.monotonic() + 60.0
             placed = 0
             while time.monotonic() < deadline:
@@ -468,11 +470,18 @@ def test_cli_serve_drains_cleanly_on_sigint(tmp_path):
         [sys.executable, "-m", "repro", "serve",
          "--qps", "20", "--duration", "60",
          "--nodes", "2", "--gpus-per-node", "2",
-         "--status-interval", "0", "--no-http"],
+         "--status-interval", "0.5", "--no-http"],
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
-    time.sleep(3.0)                        # let the service accept some load
+    # Signal only once the service loop runs (its first status line):
+    # a fixed sleep can land before the SIGINT handler is installed on
+    # a loaded host.
+    first = ""
+    while not first.startswith("[serve] t="):
+        first = proc.stderr.readline()
+        if not first:
+            break
     proc.send_signal(signal.SIGINT)
     try:
         out, err = proc.communicate(timeout=120)

@@ -138,3 +138,61 @@ class TestSampling:
         trace = WorkloadTrace("t", phases_from([(10, 0.5, 1)]))
         with pytest.raises(ValueError):
             trace.sample_series(0.0)
+
+
+def _sample_series_by_demand_at(trace: WorkloadTrace, step_ms: float) -> dict[str, np.ndarray]:
+    """The per-sample ``demand_at`` loop ``sample_series`` batches."""
+    times = np.arange(0.0, trace.total_ms, step_ms)
+    out = {k: np.empty(times.shape) for k in ("sm", "mem_mb", "tx_mbps", "rx_mbps")}
+    for i, t in enumerate(times):
+        d = trace.demand_at(float(t))
+        out["sm"][i], out["mem_mb"][i] = d.sm, d.mem_mb
+        out["tx_mbps"][i], out["rx_mbps"][i] = d.tx_mbps, d.rx_mbps
+    return out
+
+
+class TestSampleSeriesMatchesDemandAt:
+    """The vectorized sampler returns exactly what ``demand_at`` does."""
+
+    @staticmethod
+    def assert_bit_identical(trace: WorkloadTrace, step_ms: float) -> None:
+        got = trace.sample_series(step_ms)
+        want = _sample_series_by_demand_at(trace, step_ms)
+        assert set(got) == set(want)
+        for key, series in want.items():
+            assert got[key].dtype == series.dtype
+            assert got[key].tobytes() == series.tobytes(), key
+
+    def test_phase_boundary_on_a_sample_time(self):
+        # Boundaries at 30 and 50 are multiples of the 10 ms step: the
+        # sample at a boundary belongs to the next phase.
+        trace = WorkloadTrace("t", [
+            Phase(30, ResourceDemand(0.1, 100.0, 1.0, 2.0)),
+            Phase(20, ResourceDemand(0.7, 900.5, 3.0, 4.0)),
+            Phase(25, ResourceDemand(0.3, 400.25, 5.0, 6.0)),
+        ])
+        self.assert_bit_identical(trace, 10.0)
+        assert list(trace.sample_series(10.0)["mem_mb"][2:4]) == [100.0, 900.5]
+
+    def test_single_phase(self):
+        self.assert_bit_identical(WorkloadTrace("t", phases_from([(95, 0.4, 321.5)])), 10.0)
+
+    def test_step_larger_than_trace(self):
+        trace = WorkloadTrace("t", phases_from([(5, 0.2, 10), (3, 0.9, 50)]))
+        self.assert_bit_identical(trace, 100.0)
+        assert list(trace.sample_series(100.0)["mem_mb"]) == [10.0]
+
+    @given(
+        spec=st.lists(
+            st.tuples(
+                st.floats(0.5, 80.0),
+                st.floats(0.0, 1.0),
+                st.floats(0.0, 16_000.0),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        step_ms=st.floats(0.25, 50.0),
+    )
+    def test_random_traces(self, spec, step_ms):
+        self.assert_bit_identical(WorkloadTrace("t", phases_from(spec)), step_ms)
