@@ -37,6 +37,12 @@ paper's results silently rely on:
     node's *live* (post-reclaim) capacity, and every accepted,
     unfinished pod is still accounted for — pending or hosted, never
     silently dropped.
+``sample_mirror``
+    At every Knots heartbeat, the :class:`~repro.cluster.state.ClusterState`
+    sample columns and ``asleep``/``failed`` flags equal each device's
+    ``last_sample`` and flags exactly — the telemetry ring, the
+    simulator's accounting and the array passes read the mirror, not
+    the objects.
 
 A :class:`Sanitizer` rides on the :class:`repro.obs.Observability`
 bundle (``Observability(sanitize=True)``); every instrumented call site
@@ -69,7 +75,13 @@ INVARIANTS = (
     "pool_accounting",
     "fast_forward_quiescence",
     "capacity_conservation",
+    "sample_mirror",
 )
+
+#: ``ClusterState`` columns ``sample_mirror`` compares, in the order of
+#: the device tuple built in :meth:`Sanitizer.check_sample_mirror`.
+_MIRROR_COLUMNS = ("sm_util", "mem_used_mb", "mem_util", "power_w", "tx_mbps",
+                   "rx_mbps", "sample_containers", "asleep", "failed")
 
 _EPS = 1e-6
 
@@ -220,6 +232,20 @@ class Sanitizer:
                 mem_used_mb=view.mem_used_mb,
                 capacity_mb=view.mem_capacity_mb,
             )
+
+    def check_sample_mirror(self, gpus: Iterable["GPU"], state) -> None:
+        """The SoA mirror equals the device objects, compared with ``==``
+        (``alloc_mb`` is left to ``memory_conservation``)."""
+        self.checks += 1
+        mirror = zip(*(getattr(state, col).tolist() for col in _MIRROR_COLUMNS))
+        for gpu, row in zip(gpus, mirror):
+            s = gpu.last_sample
+            device = (s.sm_util, s.mem_used_mb, s.mem_util, s.power_w, s.tx_mbps,
+                      s.rx_mbps, s.num_containers, gpu.asleep, gpu.failed)
+            if row != device:
+                col, got, want = next(c for c in zip(_MIRROR_COLUMNS, row, device) if c[1] != c[2])
+                self.violation("sample_mirror", f"ClusterState.{col} diverged from {gpu.gpu_id}",
+                               gpu=gpu.gpu_id, column=col, mirror=got, device=want)
 
     def check_shares(self, gpu_id: str, shares: Mapping[str, float]) -> None:
         """Every granted SM share lies in [0, 1]."""

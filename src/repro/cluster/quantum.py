@@ -37,8 +37,8 @@ Design
   samples and pod progress for the common no-event case.
 
 The engine engages under the same conditions as PR 8's fast pass
-(observability fully off, sanitizer off, ``vectorized=True`` on a
-quantum-safe scheduler) and composes with quiescence skipping: nodes
+(observability fully off, sanitizer off, a quantum-safe
+scheduler) and composes with quiescence skipping: nodes
 with pods step every tick through the vectorized path, idle nodes keep
 their quiet horizons and legacy steps.
 

@@ -25,9 +25,10 @@ state.  Allocation is re-summed from the containers dict on every
 mutation — never incrementally adjusted — so ``capacity - alloc_mb[i]``
 is bit-identical to ``gpu.free_mem_mb`` computed fresh.  Code that
 mutates a ``ContainerAllocation.alloc_mb`` directly (some sanitizer
-tests do, to corrupt state on purpose) bypasses the mirror; every
-consumer of the mirror is disabled under the sanitizer, which keeps
-that loophole harmless.
+tests do, to corrupt state on purpose) bypasses the mirror; only the
+array-native pass reads ``alloc_mb``, and it is off under the
+sanitizer.  The sample columns and flags feed telemetry and
+accounting in every mode: ``sample_mirror`` checks them each heartbeat.
 
 Each mutation also bumps a per-node *epoch* counter, which is what lets
 the orchestrator skip quiescent kubelets and schedulers reuse cached

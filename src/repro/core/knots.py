@@ -2,8 +2,9 @@
 
 Knots is the glue between raw device telemetry and scheduling policy:
 
-* it owns one :class:`NodeMonitor` per worker, each writing the five
-  GPU metrics into the node-local TSDB every *heartbeat*;
+* every *heartbeat* it appends the five GPU metrics of every device
+  to the cluster-wide :class:`MatrixTelemetry` ring, which one
+  :class:`NodeMonitor` per worker reads as its node-local TSDB;
 * it owns the head-node :class:`UtilizationAggregator`, the only view
   schedulers get of the cluster;
 * it owns the :class:`ProfileStore` of per-image usage profiles built
@@ -47,7 +48,7 @@ class Knots:
         self.config = config or KnotsConfig()
         self.obs = obs or NOOP
         #: Telemetry storage is the cluster-wide matrix ring; each node
-        #: monitor reads/writes it through a TSDB-compatible facade.
+        #: monitor reads it through a TSDB-compatible facade.
         self.state = cluster.state
         self.matrix = MatrixTelemetry(
             self.state, self.config.heartbeat_ms, self.config.window_ms
@@ -65,15 +66,12 @@ class Knots:
     # -- monitoring plane ---------------------------------------------------
 
     def heartbeat(self, now: float) -> None:
-        """Sample every node's devices into its TSDB (one heartbeat).
-
-        One vectorized row append covers every clean node; nodes whose
-        facade was written to directly (tests seeding telemetry) keep
-        the legacy per-series monitor walk into their override store.
-        """
+        """Sample every device into the telemetry ring (one heartbeat):
+        one vectorized row append from the ClusterState sample mirror."""
+        san = self.obs.sanitizer
+        if san is not None:
+            san.check_sample_mirror(self.cluster.gpus(), self.state)
         self.matrix.append_from_state(now)
-        for node_id in self.matrix.dirty_nodes:
-            self.monitors[node_id].heartbeat(now)
         self._m_heartbeats.inc()
 
     # -- Algorithm 1 primitives ---------------------------------------------

@@ -79,7 +79,7 @@ class KubeKnots:
         #: Engages under the same conditions as the PR 8 scheduling
         #: fast pass — observability fully off and a scheduler whose
         #: telemetry reads go through the SoA mirror — so a sanitized
-        #: or ``vectorized=False`` run pins the object path everywhere.
+        #: or observed run pins the object path everywhere.
         self.quantum: QuantumEngine | None = None
         if (
             self.obs.sanitizer is None

@@ -171,9 +171,8 @@ class Scheduler(ABC):
         it is only safe under policies that read telemetry through
         ``ClusterState`` (the PR 8 fast pass), never through the
         aggregator's object snapshot.  Defaults to ``False``; CBP/PP
-        opt in with the same exact-type + ``vectorized`` gate as the
-        scheduling fast pass, and wrappers delegate to their inner
-        policy.
+        opt in with the same exact-type gate as the scheduling fast
+        pass, and wrappers delegate to their inner policy.
         """
         return False
 

@@ -68,7 +68,6 @@ class CBPScheduler(Scheduler):
         batch_sm_ceiling: float = 1.15,
         lc_sm_ceiling: float = 0.25,
         interference_alpha: float = 0.7,
-        vectorized: bool = True,
     ) -> None:
         self.percentile = percentile
         self.correlation_threshold = correlation_threshold
@@ -93,11 +92,6 @@ class CBPScheduler(Scheduler):
         #: The interference coefficient assumed when inverting the
         #: co-location slowdown model (matches the device default).
         self.interference_alpha = interference_alpha
-        #: Use the array-native pass over :class:`ClusterState` when no
-        #: per-candidate observer is live (see :meth:`_fast_pass_ok`).
-        #: Decisions are bit-identical either way; ``False`` pins the
-        #: dict path (the A/B axis the equivalence tests exercise).
-        self.vectorized = vectorized
         #: Evidence captured by the last :meth:`_admit` call — the
         #: per-resident-image Spearman ρ values the gate evaluated.
         #: Only populated while the decision audit log is enabled.
@@ -129,8 +123,7 @@ class CBPScheduler(Scheduler):
         sites.
         """
         return (
-            self.vectorized
-            and not self._auditing
+            not self._auditing
             and not self.obs.enabled
             and self.obs.sanitizer is None
             and getattr(ctx.knots, "state", None) is not None
@@ -143,7 +136,7 @@ class CBPScheduler(Scheduler):
         the quantum), never through the per-object aggregator snapshot.
         Subclasses that override candidate ordering fall back to the
         dict pass, so the same exact-type gate applies."""
-        return type(self) is CBPScheduler and self.vectorized
+        return type(self) is CBPScheduler
 
     def schedule(self, ctx: SchedulingContext) -> list[Action]:
         actions: list[Action] = []

@@ -95,7 +95,7 @@ class PeakPredictionScheduler(CBPScheduler):
         """Same contract as CBP's: stock PP with observability off runs
         the array-native pass over ``ClusterState``, which the
         vectorized quantum keeps exact."""
-        return type(self) is PeakPredictionScheduler and self.vectorized
+        return type(self) is PeakPredictionScheduler
 
     def schedule(self, ctx: SchedulingContext) -> list[Action]:
         actions: list[Action] = []

@@ -2,9 +2,9 @@
 
 Two pieces mirror the paper's Fig. 5 data path:
 
-* :class:`NodeMonitor` — runs on every worker; each *heartbeat* it reads
-  the node's GPUs through the NVML layer and writes one point per
-  (GPU, metric) into the node-local TSDB.
+* :class:`NodeMonitor` — one per worker: the node-local TSDB query
+  surface (a :class:`~repro.telemetry.matrix.TsdbFacade` over the
+  cluster-wide ring that each Knots heartbeat appends to).
 * :class:`UtilizationAggregator` — runs on the head node; on demand it
   queries every worker's TSDB for the recent window of any metric and
   produces the cluster-wide view the schedulers consume (free memory
@@ -20,25 +20,19 @@ import numpy as np
 
 from repro.cluster.node import GpuNode
 from repro.obs.context import NOOP, Observability
-from repro.telemetry.nvml import METRICS, NvmlSampler
-from repro.telemetry.tsdb import SeriesWindow, TimeSeriesDB
+from repro.telemetry.matrix import TsdbFacade
+from repro.telemetry.nvml import METRICS
+from repro.telemetry.tsdb import SeriesWindow
 
 __all__ = ["NodeMonitor", "GpuView", "UtilizationAggregator"]
 
 
 class NodeMonitor:
-    """Per-worker Knots monitor: NVML -> node TSDB, once per heartbeat."""
+    """Per-worker Knots monitor: windowed reads of the node's series."""
 
-    def __init__(self, node: GpuNode, tsdb: TimeSeriesDB | None = None) -> None:
+    def __init__(self, node: GpuNode, tsdb: TsdbFacade) -> None:
         self.node = node
-        self.tsdb = tsdb or TimeSeriesDB()
-        self._sampler = NvmlSampler(node.gpus)
-
-    def heartbeat(self, now: float) -> None:
-        """Sample all devices and log one point per (gpu, metric)."""
-        for gpu_id, metrics in self._sampler.sample().items():
-            for metric, value in metrics.items():
-                self.tsdb.write(f"{gpu_id}.{metric}", now, value)
+        self.tsdb = tsdb
 
     def series(self, gpu_id: str, metric: str, window: float, now: float) -> SeriesWindow:
         return self.tsdb.last_window(f"{gpu_id}.{metric}", window, now)

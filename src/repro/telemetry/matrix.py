@@ -20,17 +20,12 @@ elementwise with the exact same operations, so stored values are
 bit-identical to what the per-object sampler produces.
 
 Reads keep the node-local TSDB *surface*: each node's monitor holds a
-:class:`TsdbFacade` that resolves ``"<gpu_id>.<metric>"`` queries to a
-column window of the shared ring (zero-copy read-only views, binary
-search over the ring's two physical segments — the same query shape as
-``_RingSeries``).
-
-**Direct writes** (tests seed telemetry with ``tsdb.write``) flip the
-facade's node into *override* mode: the matrix history for that node is
-backfilled into a private real :class:`TimeSeriesDB`, the write is
-applied there, and from then on that node's reads and heartbeats use
-the override store — byte-for-byte the legacy behaviour, paid only by
-nodes that are written to directly.
+read-only :class:`TsdbFacade` that resolves ``"<gpu_id>.<metric>"``
+queries to a column window of the shared ring (zero-copy read-only
+views, binary search over the ring's two physical segments — the same
+query shape as ``_RingSeries``).  The ring is the only telemetry store
+in every run mode; :meth:`MatrixTelemetry.append_from_state` is its
+only writer.
 """
 
 from __future__ import annotations
@@ -38,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.telemetry.nvml import METRICS
-from repro.telemetry.tsdb import SeriesWindow, TimeSeriesDB, _EMPTY_WINDOW, _readonly
+from repro.telemetry.tsdb import SeriesWindow, _EMPTY_WINDOW, _readonly
 
 __all__ = ["MatrixTelemetry", "TsdbFacade"]
 
@@ -65,9 +60,6 @@ class MatrixTelemetry:
         self.count = 0
         self.version = 0       # total appends (== legacy per-series version)
         self.last_t = -np.inf
-        #: Nodes that received a direct ``write`` and now live in their
-        #: facade's override store (see :class:`TsdbFacade`).
-        self.dirty_nodes: set[str] = set()
         #: Facade guards (``--race-detect``), checked on each append.
         self.guards: dict[str, object] = {}
 
@@ -187,7 +179,8 @@ class MatrixTelemetry:
 
 
 class TsdbFacade:
-    """One node's :class:`TimeSeriesDB`-compatible view of the matrix."""
+    """One node's read-only :class:`~repro.telemetry.tsdb.TimeSeriesDB`
+    query surface over the matrix."""
 
     def __init__(self, matrix: MatrixTelemetry, node) -> None:
         self._matrix = matrix
@@ -198,7 +191,6 @@ class TsdbFacade:
             col = matrix.state.index[gpu.gpu_id]
             for metric in METRICS:
                 self._series[f"{gpu.gpu_id}.{metric}"] = (metric, col)
-        self._override: TimeSeriesDB | None = None
         self._cache: dict[str, tuple[tuple, SeriesWindow]] = {}
         self._guard = None
 
@@ -216,52 +208,17 @@ class TsdbFacade:
         else:
             self._matrix.guards[self._node_id] = value
 
-    # -- override promotion -------------------------------------------------
-
-    def _promote(self) -> TimeSeriesDB:
-        """First direct write: replay this node's matrix history into a
-        private store, then serve the node from it (legacy semantics)."""
-        store = TimeSeriesDB()
-        m = self._matrix
-        lo, hi = m.window_bounds(None, None)
-        for name, (metric, col) in self._series.items():
-            w = m.column_window(metric, col, lo, hi)
-            for t, v in zip(w.times, w.values):
-                store.write(name, float(t), float(v))
-        self._override = store
-        self._cache.clear()
-        m.dirty_nodes.add(self._node_id)
-        return store
-
-    # -- TimeSeriesDB surface ----------------------------------------------
-
-    def write(self, metric: str, t: float, value: float) -> None:
-        if self._guard is not None:
-            self._guard.check("write")
-        store = self._override
-        if store is None:
-            store = self._promote()
-        store.write(metric, t, value)
-
-    def write_many(self, t: float, values: dict[str, float]) -> None:
-        for metric, v in values.items():
-            self.write(metric, t, v)
+    # -- TimeSeriesDB query surface ----------------------------------------
 
     def metrics(self) -> list[str]:
-        if self._override is not None:
-            return self._override.metrics()
         if self._matrix.count == 0:
             return []
         return sorted(self._series)
 
     def __contains__(self, metric: str) -> bool:
-        if self._override is not None:
-            return metric in self._override
         return self._matrix.count > 0 and metric in self._series
 
     def version(self, metric: str) -> int:
-        if self._override is not None:
-            return self._override.version(metric)
         if metric not in self._series:
             return 0
         return self._matrix.version
@@ -271,8 +228,6 @@ class TsdbFacade:
     ) -> SeriesWindow:
         if self._guard is not None:
             self._guard.check("query")
-        if self._override is not None:
-            return self._override.query(metric, since, until)
         series = self._series.get(metric)
         if series is None:
             return _EMPTY_WINDOW
@@ -294,8 +249,6 @@ class TsdbFacade:
     ) -> dict[str, SeriesWindow]:
         if self._guard is not None:
             self._guard.check("query_many")
-        if self._override is not None:
-            return self._override.query_many(metrics, since, until)
         out: dict[str, SeriesWindow] = {}
         m = self._matrix
         bounds: tuple[int, int] | None = None
@@ -325,8 +278,6 @@ class TsdbFacade:
         return self.query_many(metrics, since=now - window, until=now)
 
     def latest(self, metric: str) -> tuple[float, float] | None:
-        if self._override is not None:
-            return self._override.latest(metric)
         series = self._series.get(metric)
         m = self._matrix
         if series is None or m.count == 0:

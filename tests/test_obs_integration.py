@@ -6,19 +6,57 @@ import json
 
 import pytest
 
+from repro.cluster.cluster import make_paper_cluster
 from repro.core.schedulers import PeakPredictionScheduler
 from repro.obs.context import NOOP, Observability
 from repro.sim.engine import EventLoop
-from repro.sim.simulator import run_appmix
+from repro.sim.simulator import KubeKnotsSimulator
+from repro.workloads.appmix import generate_appmix_workload
+
+
+def device_walk(cluster) -> dict[str, dict[str, float]]:
+    """The traced counters recomputed by a left-to-right walk over the
+    device objects (``gpu.last_sample`` and the power/fault flags)."""
+    sm = mem = power = 0.0
+    n = 0
+    for gpu in cluster.gpus():
+        s = gpu.last_sample
+        sm += s.sm_util
+        mem += s.mem_util
+        power += (
+            s.power_w if s.num_containers or not gpu.asleep
+            else gpu.power_model.sleep_watts
+        )
+        n += 1
+    return {
+        "cluster_utilization": {"sm_util_mean": sm / n, "mem_util_mean": mem / n},
+        "cluster_power_w": {"total": power},
+    }
 
 
 @pytest.fixture(scope="module")
-def traced_run():
+def traced_sim():
+    """A traced app-mix run, plus the device walk taken right after
+    each accounting record (later passes may still sleep devices)."""
     obs = Observability()
-    result = run_appmix(
-        "app-mix-1", PeakPredictionScheduler(), duration_s=3.0, seed=2,
-        num_nodes=3, obs=obs,
-    )
+    cluster = make_paper_cluster(num_nodes=3)
+    workload = generate_appmix_workload("app-mix-1", duration_s=3.0, seed=2)
+    sim = KubeKnotsSimulator(cluster, PeakPredictionScheduler(), workload, obs=obs)
+    walks: list[tuple[float, dict]] = []
+    record = sim._record
+
+    def record_and_walk(t, dt_ms):
+        record(t, dt_ms)
+        walks.append((t, device_walk(cluster)))
+
+    sim._record = record_and_walk
+    result = sim.run()
+    return obs, result, walks
+
+
+@pytest.fixture(scope="module")
+def traced_run(traced_sim):
+    obs, result, _ = traced_sim
     return obs, result
 
 
@@ -44,10 +82,18 @@ class TestTraceFromRun:
         assert ts == sorted(ts)
         assert ts[-1] <= result.makespan_ms
 
-    def test_counter_tracks_present(self, traced_run):
-        obs, _ = traced_run
-        names = {ev["name"] for ev in obs.tracer.events if ev["ph"] == "C"}
+    def test_counter_tracks_present(self, traced_sim):
+        obs, _, walks = traced_sim
+        counters = [ev for ev in obs.tracer.events if ev["ph"] == "C"]
+        names = {ev["name"] for ev in counters}
         assert {"cluster_utilization", "cluster_power_w", "pending_pods"} <= names
+        # The values, not just the names: at the final recorded tick the
+        # array-summed counters equal the walk over the devices exactly.
+        t_last, expected = walks[-1]
+        for name, args in expected.items():
+            last = [ev for ev in counters if ev["name"] == name][-1]
+            assert last["ts"] == t_last
+            assert last["args"] == args, name
 
     def test_chrome_export_loads(self, traced_run, tmp_path):
         obs, _ = traced_run

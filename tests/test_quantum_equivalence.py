@@ -40,7 +40,6 @@ def _build(
     n_nodes: int = 32,
     faults: tuple = (),
     scenario=None,
-    vectorized: bool = True,
     load: float = 1.0,
     obs: Observability | None = None,
 ) -> KubeKnotsSimulator:
@@ -49,11 +48,9 @@ def _build(
     )
     if scenario is not None and scenario.gangs is not None:
         workload = apply_gang_mix(workload, scenario.gangs)
-    scheduler = make_scheduler(sched_name)
-    scheduler.vectorized = vectorized
     return KubeKnotsSimulator(
         make_paper_cluster(num_nodes=n_nodes, gpus_per_node=8),
-        scheduler,
+        make_scheduler(sched_name),
         workload,
         SimConfig(min_horizon_ms=20_000.0, faults=tuple(faults), scenario=scenario),
         obs=obs,
@@ -120,10 +117,6 @@ class TestEngagement:
         for kubelet in sim.orchestrator.kubelets.values():
             assert kubelet.engine is engine
 
-    def test_disengaged_when_not_vectorized(self):
-        sim = _build(vectorized=False)
-        assert sim.orchestrator.quantum is None
-
     def test_disengaged_under_observability(self):
         sim = _build(obs=Observability(trace=False, metrics=False, audit=True))
         assert sim.orchestrator.quantum is None
@@ -135,8 +128,6 @@ class TestEngagement:
         assert sim.orchestrator.quantum is None
 
     def test_gang_scheduler_delegates(self):
-        inner = make_scheduler("cbp")
-        inner.vectorized = True
         sim = _build(scenario=SCENARIOS["diurnal-gang"])
         assert sim.orchestrator.quantum is not None
 

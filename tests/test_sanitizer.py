@@ -162,6 +162,32 @@ class TestTelemetryStaleness:
         assert sanitized_obs.sanitizer.violations == []
 
 
+class TestSampleMirror:
+    def _knots(self, obs):
+        cluster = make_paper_cluster(num_nodes=2, gpus_per_node=2)
+        return cluster, Knots(cluster, KnotsConfig(heartbeat_ms=10.0), obs=obs)
+
+    @pytest.mark.parametrize("column,value", [
+        ("power_w", 123.0), ("sample_containers", 3), ("asleep", True),
+    ])
+    def test_corrupted_mirror_entry_trips_on_heartbeat(self, sanitized_obs, column, value):
+        cluster, knots = self._knots(sanitized_obs)
+        knots.heartbeat(0.0)
+        getattr(cluster.state, column)[2] = value     # node2/gpu0, behind the GPU's back
+        with pytest.raises(SanitizerError) as exc:
+            knots.heartbeat(10.0)
+        v = exc.value.violation
+        assert v.invariant == "sample_mirror"
+        assert v.details["gpu"] == "node2/gpu0"
+        assert sanitized_obs.sanitizer.violations == [v]
+
+    def test_alloc_mb_is_not_compared(self, sanitized_obs):
+        cluster, knots = self._knots(sanitized_obs)
+        cluster.state.alloc_mb[0] = 99.0
+        knots.heartbeat(0.0)
+        assert sanitized_obs.sanitizer.violations == []
+
+
 class TestDlSimulatorInvariants:
     @staticmethod
     def jobs():
@@ -243,7 +269,7 @@ class TestReporting:
             "memory_conservation", "sm_shares", "schedule_in_past",
             "time_monotonicity", "heap_consistency", "telemetry_staleness",
             "pool_accounting", "fast_forward_quiescence",
-            "capacity_conservation",
+            "capacity_conservation", "sample_mirror",
         }
 
 

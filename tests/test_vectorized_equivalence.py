@@ -1,13 +1,12 @@
 """A/B equivalence and scale smokes for the vectorized scheduling pass.
 
-The SoA fast paths must be *invisible*: with ``vectorized=False`` the
-schedulers take the original dict/object pass, and at the paper scale
-(32 nodes x 8 GPUs) every decision, sample series and energy figure
-must come out bit-identical either way — including under injected
-device faults.  The sanitizer pins the legacy semantics by disabling
-every fast path, so sanitized runs at 256 and 1024 nodes double as
-scale smokes of the slow path; a plain 1024-node run smokes the fast
-one.
+The SoA fast paths must be *invisible*: with metrics on the schedulers
+take the original dict/object pass, and at the paper scale (32 nodes x
+8 GPUs) every decision, sample series and energy figure must come out
+bit-identical either way — including under injected device faults.
+The sanitizer pins the legacy semantics by disabling every fast path,
+so sanitized runs at 256 and 1024 nodes double as scale smokes of the
+slow path; a plain 1024-node run smokes the fast one.
 """
 
 from __future__ import annotations
@@ -24,11 +23,17 @@ from tests.test_sim_equivalence import assert_kk_identical
 VECTORIZED_SCHEDULERS = ["cbp", "peak-prediction"]
 
 
-def _run(sched, vectorized, *, nodes=32, gpus=8, duration_s=2.0, seed=3,
+def _slow_obs():
+    """Metrics on: the scheduling fast pass and the execution quantum
+    stand down, so the run takes the object path end to end."""
+    return Observability(trace=False, metrics=True, audit=False)
+
+
+def _run(sched, *, nodes=32, gpus=8, duration_s=2.0, seed=3,
          horizon=10_000.0, faults=(), obs=None):
     return run_appmix(
         "app-mix-1",
-        make_scheduler(sched, vectorized=vectorized),
+        make_scheduler(sched),
         duration_s=duration_s,
         seed=seed,
         num_nodes=nodes,
@@ -41,8 +46,8 @@ def _run(sched, vectorized, *, nodes=32, gpus=8, duration_s=2.0, seed=3,
 class TestPaperScaleAB:
     @pytest.mark.parametrize("sched", VECTORIZED_SCHEDULERS)
     def test_32x8_bit_identical(self, sched):
-        fast = _run(sched, True)
-        slow = _run(sched, False)
+        fast = _run(sched)
+        slow = _run(sched, obs=_slow_obs())
         assert_kk_identical(fast, slow, sched)
         assert fast.completed(), sched      # the run did real work
 
@@ -51,8 +56,8 @@ class TestPaperScaleAB:
             DeviceFault(at_ms=300.0, gpu_id="node3/gpu1", duration_ms=800.0),
             DeviceFault(at_ms=500.0, gpu_id="node17/gpu6", duration_ms=600.0),
         ]
-        fast = _run("cbp", True, faults=faults)
-        slow = _run("cbp", False, faults=faults)
+        fast = _run("cbp", faults=faults)
+        slow = _run("cbp", faults=faults, obs=_slow_obs())
         assert_kk_identical(fast, slow, "faults")
 
     def test_fast_pass_actually_engages(self, monkeypatch):
@@ -65,10 +70,10 @@ class TestPaperScaleAB:
             return orig(self, *args, **kwargs)
 
         monkeypatch.setattr(ArrayPassState, "__init__", spy)
-        _run("cbp", True, nodes=4, gpus=2, duration_s=1.0, horizon=5_000.0)
+        _run("cbp", nodes=4, gpus=2, duration_s=1.0, horizon=5_000.0)
         assert built
 
-    def test_vectorized_false_never_builds_pass_state(self, monkeypatch):
+    def test_slow_side_never_builds_pass_state(self, monkeypatch):
         built = []
         orig = ArrayPassState.__init__
 
@@ -77,7 +82,8 @@ class TestPaperScaleAB:
             return orig(self, *args, **kwargs)
 
         monkeypatch.setattr(ArrayPassState, "__init__", spy)
-        _run("cbp", False, nodes=4, gpus=2, duration_s=1.0, horizon=5_000.0)
+        _run("cbp", nodes=4, gpus=2, duration_s=1.0, horizon=5_000.0,
+             obs=_slow_obs())
         assert not built
 
 
@@ -90,14 +96,14 @@ class TestScaleSmokes:
         """The sanitizer forces the legacy per-object path on every node
         every tick; it must stay clean at scale."""
         obs = Observability(trace=False, metrics=False, audit=False, sanitize=True)
-        result = _run("cbp", True, nodes=nodes, gpus=8,
+        result = _run("cbp", nodes=nodes, gpus=8,
                       duration_s=duration_s, horizon=horizon, obs=obs)
         assert obs.sanitizer.violations == []
         assert obs.sanitizer.checks > 0
         assert result.pods
 
     def test_1024_node_fast_path_smoke(self):
-        result = _run("cbp", True, nodes=1024, gpus=8,
+        result = _run("cbp", nodes=1024, gpus=8,
                       duration_s=1.0, horizon=5_000.0)
         assert len(result.energy_j_per_gpu) == 1024 * 8
         assert result.completed()
