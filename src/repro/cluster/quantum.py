@@ -18,8 +18,8 @@ Design
   per-device slot order always equals the kubelet's dict insertion
   order — which is what makes the float sums below bit-identical.
 * **Phase tables.**  Each :class:`~repro.workloads.base.WorkloadTrace`
-  compiles once (``demand_table``) into cumulative end-times plus a
-  ``(phases, 4)`` demand matrix; all tables are concatenated so a
+  stores its phases as cumulative end-times plus a ``(phases, 4)``
+  demand matrix (``demand_table``); all tables are concatenated so a
   slot's current demand is a cached row refreshed by ``searchsorted``
   only when progress crosses a phase boundary.
 * **Segment sums via bincount.**  ``np.bincount(dev, weights=w)``

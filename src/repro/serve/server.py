@@ -327,7 +327,10 @@ class KnotsService:
         reset_uid_counter()
         self._wall_start = self.clock()
         pacer = self.pacer if self.pacer is not None else _unpaced
-        self.events_fired = self.loop.run_paced(pacer)
+        try:
+            self.events_fired = self.loop.run_paced(pacer)
+        finally:
+            self._harness.close()
         self._wall_end = self.clock()
         self._finalize()
         return self.report()
@@ -587,6 +590,11 @@ class FrontDoor:
         with self._state_lock:
             self._aio = None
             self._thread = None
+            # The closed asyncio server still holds the handler factory,
+            # a bound ``_handle``: dropping it ends the front door ⇄
+            # server cycle, so the front door and its service are freed
+            # without the cyclic collector.
+            self._server = None
 
     def _shutdown(self) -> None:
         if self._server is not None:

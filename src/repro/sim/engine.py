@@ -59,6 +59,12 @@ class EventHandle:
     to :meth:`cancel` the event before it fires.  Cancelling an
     already-fired or already-cancelled event is a no-op.
 
+    Once fired or cancelled, a handle drops its ``callback`` and
+    ``args`` (as ``asyncio.Handle.cancel`` does): a handle kept past its
+    event — a component's "current occurrence" slot — then holds no
+    reference back to that component, so a finished simulation is freed
+    by reference counting, without waiting for the cyclic collector.
+
     The heap itself stores plain ``(time, priority, seq, handle)``
     tuples so event ordering is decided by C tuple comparison — ``seq``
     is unique, so two entries never tie into comparing handles.  Merging
@@ -91,6 +97,7 @@ class EventHandle:
         """Prevent the event from firing.  Idempotent."""
         if not self.cancelled and not self.fired:
             self.cancelled = True
+            self.callback = self.args = None
             self._loop._pending -= 1
 
 
@@ -100,7 +107,8 @@ class RepeatingEvent:
     The next occurrence is scheduled *before* the callback runs, so
     :attr:`next_time` is always valid inside the callback and
     :meth:`skip_to` may be called from within it (the pre-scheduled
-    occurrence is cancelled and replaced).
+    occurrence is cancelled and replaced).  A cancelled recurrence drops
+    its callback.
     """
 
     __slots__ = ("_loop", "interval", "callback", "priority", "_handle", "_cancelled")
@@ -140,6 +148,7 @@ class RepeatingEvent:
     def cancel(self) -> None:
         """Stop the recurrence.  Idempotent."""
         self._cancelled = True
+        self.callback = None
         self._handle.cancel()
 
     def skip_to(self, when: float) -> None:
@@ -338,20 +347,22 @@ class EventLoop:
                 if self._fired_total % san.heap_audit_interval == 0:
                     live = sum(1 for entry in heap if not entry[3].cancelled)
                     san.check_heap(self._pending, live)
+            callback, args = event.callback, event.args
+            event.callback = event.args = None
             obs = self.obs
             if obs.enabled:
                 obs.clock.now = when * self.clock_scale
                 self._m_fired.inc()
                 tracer = obs.tracer
                 if tracer.enabled:
-                    name = getattr(event.callback, "__qualname__", repr(event.callback))
+                    name = getattr(callback, "__qualname__", repr(callback))
                     tracer.begin(name, cat="engine")
                     try:
-                        event.callback(*event.args)
+                        callback(*args)
                     finally:
                         tracer.end()
                     return True
-            event.callback(*event.args)
+            callback(*args)
             return True
         return False
 
@@ -399,7 +410,9 @@ class EventLoop:
                     self._now = entry[0]
                     event.fired = True
                     self._pending -= 1
-                    event.callback(*event.args)
+                    callback, args = event.callback, event.args
+                    event.callback = event.args = None
+                    callback(*args)
                     fired += 1
                 return fired
             while heap:
@@ -419,7 +432,9 @@ class EventLoop:
                     self._now = head[0]
                     event.fired = True
                     self._pending -= 1
-                    event.callback(*event.args)
+                    callback, args = event.callback, event.args
+                    event.callback = event.args = None
+                    callback(*args)
                 else:
                     self.step()
                 fired += 1
@@ -471,6 +486,18 @@ class EventLoop:
         finally:
             self._running = False
         return fired
+
+    def cancel_pending(self) -> None:
+        """Cancel every pending event and empty the heap.
+
+        The end-of-run teardown: cancelled handles drop their callbacks,
+        so nothing left queued keeps its owner (and whatever that owner
+        references) alive after the run.
+        """
+        heap = self._heap
+        for entry in heap:
+            entry[3].cancel()
+        heap.clear()
 
     def _peek(self) -> EventHandle | None:
         heap = self._heap

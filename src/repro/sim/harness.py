@@ -153,6 +153,17 @@ class TickHarness:
         for chain in self._chains:
             chain.skip_to(when)
 
+    def close(self) -> None:
+        """End-of-run teardown: stop every per-tick chain, drop the
+        quantum callback and cancel whatever else is still queued on
+        the loop.  Every cancelled event drops its callback, so no
+        harness/plan/owner cycle outlives the run and a finished run is
+        freed by reference counting.  Idempotent."""
+        for chain in self._chains:
+            chain.cancel()
+        self._user_quantum = None
+        self.loop.cancel_pending()
+
 
 class GridPeriodic:
     """A recurring activity quantized to the tick grid.
@@ -201,6 +212,7 @@ class GridPeriodic:
 
     def cancel(self) -> None:
         self._cancelled = True
+        self.callback = None
         self._handle.cancel()
 
     def resync(self, next_due: float) -> None:
@@ -255,9 +267,14 @@ class GridOneShot:
 
     Cancellable until it executes — the repair half of a
     :class:`FaultPlan` entry is exactly this.
+
+    The callback and its arguments ride in the scheduled event's args
+    rather than on this object, so once the event fires or is cancelled
+    (the handle then drops them) the one-shot holds no reference back
+    to the plan that owns it: no plan ⇄ one-shot cycle outlives it.
     """
 
-    __slots__ = ("harness", "callback", "args", "priority", "_handle", "_done", "_cancelled")
+    __slots__ = ("harness", "priority", "_handle", "_done", "_cancelled")
 
     def __init__(
         self,
@@ -268,13 +285,11 @@ class GridOneShot:
         priority: int,
     ) -> None:
         self.harness = harness
-        self.callback = callback
-        self.args = args
         self.priority = priority
         self._done = False
         self._cancelled = False
         self._handle: EventHandle = harness.loop.schedule_at(
-            when, self._fire, priority=priority
+            when, self._fire, callback, args, priority=priority
         )
 
     @property
@@ -286,15 +301,17 @@ class GridOneShot:
     def pending(self) -> bool:
         return not self._done and not self._cancelled
 
-    def _fire(self) -> None:
+    def _fire(self, callback: Callable[..., None], args: tuple) -> None:
         harness = self.harness
         loop = harness.loop
         now = loop.now
         if not harness.on_grid(now):
-            self._handle = loop.schedule_at(harness.next_tick, self._fire, priority=self.priority)
+            self._handle = loop.schedule_at(
+                harness.next_tick, self._fire, callback, args, priority=self.priority
+            )
             return
         self._done = True
-        self.callback(*self.args)
+        callback(*args)
 
     def cancel(self) -> None:
         """Prevent execution.  Idempotent; no-op once executed."""

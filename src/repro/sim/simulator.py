@@ -254,12 +254,14 @@ class KubeKnotsSimulator:
         self._harness = harness
         self._hb = PhaseGate(cfg.knots.heartbeat_ms, start_due=loop.now)
         self._sched = PhaseGate(cfg.schedule_interval_ms, start_due=loop.now)
-        self._faults = FaultPlan(harness, cfg.faults, self._fail_gpu, self._repair_gpu)
+        orch = self.orchestrator
+        # The plan calls the orchestrator directly: a callback bound to
+        # the simulator would make a simulator ⇄ plan cycle.
+        self._faults = FaultPlan(harness, cfg.faults, orch.fail_gpu, orch.repair_gpu)
         scenario = cfg.scenario
         if scenario is not None and scenario.capacity is not None:
             from repro.scenario.capacity import build_capacity_events
 
-            orch = self.orchestrator
             events = build_capacity_events(
                 scenario.capacity,
                 [node.node_id for node in self.cluster],
@@ -273,7 +275,12 @@ class KubeKnotsSimulator:
                 orch.restore_node,
             )
 
-        self.events_fired = run_until_idle(loop)
+        try:
+            self.events_fired = run_until_idle(loop)
+        finally:
+            # No event-loop cycle may keep this simulator — its
+            # telemetry ring and series — alive once it is dropped.
+            harness.close()
         t_end = self._makespan
 
         if tracer.enabled:
@@ -362,12 +369,6 @@ class KubeKnotsSimulator:
         if self._sched.due(now):
             orch.scheduling_pass(now)
         self._on_tick_end(now)
-
-    def _fail_gpu(self, gpu_id: str) -> bool:
-        return self.orchestrator.fail_gpu(gpu_id)
-
-    def _repair_gpu(self, gpu_id: str) -> None:
-        self.orchestrator.repair_gpu(gpu_id)
 
     def _on_tick_end(self, now: float) -> None:
         """End-of-tick bookkeeping: termination checks (after the

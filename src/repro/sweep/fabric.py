@@ -237,8 +237,18 @@ def _run_pool(miss_tasks: list[Any], workers: int) -> list[Any]:
     from repro.analysis.sanitizer import SanitizerError
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(execute_task, task) for task in miss_tasks]
+        futures = []
         try:
+            for task in miss_tasks:
+                # An earlier task's worker may already have died: the
+                # pool then refuses new work at submission.
+                try:
+                    futures.append(pool.submit(execute_task, task))
+                except BrokenProcessPool as exc:
+                    raise SweepError(
+                        f"sweep worker died before {task!r} could be submitted; "
+                        "the remaining tasks were aborted"
+                    ) from exc
             computed = []
             for task, future in zip(miss_tasks, futures):
                 try:

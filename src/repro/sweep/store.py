@@ -34,7 +34,9 @@ from pathlib import Path
 
 __all__ = ["SCHEMA_TAG", "DEFAULT_CACHE_DIR", "ResultStore", "task_key"]
 
-SCHEMA_TAG = "kube-knots/sweep-result/v1"
+#: v2: ``WorkloadTrace`` (inside every pickled pod spec) stores its
+#: phases as an array table instead of ``Phase`` objects.
+SCHEMA_TAG = "kube-knots/sweep-result/v2"
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.workloads.base import Phase, QoSClass, ResourceDemand, WorkloadTrace
+from repro.workloads.base import QoSClass, WorkloadTrace
 
 __all__ = [
     "InferenceProfile",
@@ -110,15 +110,18 @@ def make_inference_trace(
     compute_ms = max(latency * 0.65, 0.5)
     store_ms = max(latency * 0.10, 0.2)
 
-    phases = [
-        Phase(load_ms, ResourceDemand(sm=0.05, mem_mb=p.base_mem_mb, tx_mbps=20.0, rx_mbps=3500.0)),
-        Phase(compute_ms, ResourceDemand(sm=min(p.sm_demand * rng.uniform(0.9, 1.1), 1.0), mem_mb=mem, tx_mbps=30.0, rx_mbps=50.0)),
-        Phase(store_ms, ResourceDemand(sm=0.03, mem_mb=p.base_mem_mb * 0.8, tx_mbps=600.0, rx_mbps=10.0)),
-    ]
+    compute_sm = min(p.sm_demand * rng.uniform(0.9, 1.1), 1.0)
+    durations = (load_ms, compute_ms, store_ms)
+    rows = (
+        (0.05, p.base_mem_mb, 20.0, 3500.0),
+        (compute_sm, mem, 30.0, 50.0),
+        (0.03, p.base_mem_mb * 0.8, 600.0, 10.0),
+    )
     requested = tf_managed_memory_mb() if tf_managed else min(mem * requested_headroom, DEVICE_MEM_MB)
-    return WorkloadTrace(
-        name=name,
-        phases=phases,
+    return WorkloadTrace.from_table(
+        name,
+        durations,
+        rows,
         qos_class=QoSClass.LATENCY_CRITICAL,
         requested_mem_mb=requested,
     )

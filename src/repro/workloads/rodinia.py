@@ -16,6 +16,13 @@ short peaks follow a bandwidth-led prelude, and a write-back phase (tx
 burst).  Per-instance jitter comes from the caller's RNG so no two pods
 are identical, while class-level shape (what CBP correlates on) is
 stable.
+
+:func:`make_rodinia_trace` writes the phase table straight into arrays
+(:meth:`WorkloadTrace.from_table`): the ~3 x ``n_iters`` body rows are
+one broadcast, and the per-iteration prelude jitters are one batched
+``rng.uniform`` draw that consumes the stream exactly as the scalar
+per-phase draws did, so traces and the caller's later draws are
+unchanged.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.workloads.base import Phase, QoSClass, ResourceDemand, WorkloadTrace
+from repro.workloads.base import QoSClass, WorkloadTrace
 
 __all__ = ["RodiniaProfile", "RODINIA_PROFILES", "RODINIA_SUITE_ORDER", "make_rodinia_trace", "suite_timeline"]
 
@@ -110,18 +117,20 @@ def make_rodinia_trace(
         raise KeyError(f"unknown Rodinia app {name!r}; known: {sorted(RODINIA_PROFILES)}") from None
 
     jitter = lambda v, frac: float(v * rng.uniform(1.0 - frac, 1.0 + frac))  # noqa: E731
+    # The draws happen in a fixed order — total, steady_sm, peak_sm,
+    # steady_mem, peak_mem, load_rx, iter_ms, the n_iters prelude
+    # jitters, store_tx.  The caller's stream position after the call,
+    # and so every later pod of a workload, depends on it
+    # (tests/test_rodinia.py pins it against a per-phase reference).
     total_ms = max(jitter(p.base_ms * scale, 0.15), 2.0)
     steady_sm = min(jitter(p.steady_sm, 0.10), 1.0)
     peak_sm = min(jitter(p.peak_sm, 0.05), 1.0)
     steady_mem = jitter(p.steady_mem_mb, 0.10) * mem_scale
     peak_mem = max(jitter(p.peak_mem_mb, 0.10) * mem_scale, steady_mem * 1.5)
 
-    phases: list[Phase] = []
     # -- load phase: input transfer dominates, compute near-idle ----------
     load_ms = max(total_ms * 0.08, 0.5)
-    phases.append(
-        Phase(load_ms, ResourceDemand(sm=0.03, mem_mb=steady_mem * 0.5, tx_mbps=10.0, rx_mbps=jitter(p.load_rx_mbps, 0.10)))
-    )
+    load_rx = jitter(p.load_rx_mbps, 0.10)
     # -- compute iterations: steady body with a bandwidth-led peak --------
     body_ms = total_ms * 0.86
     iter_ms = max(jitter(p.iter_ms, 0.10), 1.0)
@@ -132,28 +141,31 @@ def make_rodinia_trace(
     peak_ms_per_iter = max(total_ms * p.peak_fraction / n_iters, 0.2)
     prelude_ms = max(peak_ms_per_iter * 0.5, 0.1)
     steady_ms = max(iter_ms - peak_ms_per_iter - prelude_ms, 0.2)
-    for _ in range(n_iters):
-        phases.append(
-            Phase(steady_ms, ResourceDemand(sm=steady_sm, mem_mb=steady_mem, tx_mbps=5.0, rx_mbps=8.0))
-        )
-        phases.append(
-            Phase(
-                prelude_ms,
-                ResourceDemand(sm=steady_sm, mem_mb=steady_mem, tx_mbps=5.0, rx_mbps=jitter(p.load_rx_mbps * 0.6, 0.15)),
-            )
-        )
-        phases.append(
-            Phase(peak_ms_per_iter, ResourceDemand(sm=peak_sm, mem_mb=peak_mem, tx_mbps=20.0, rx_mbps=30.0))
-        )
+    # One batched draw: a Generator fills it in stream order, value for
+    # value what n_iters scalar draws would return.
+    prelude_rx = (p.load_rx_mbps * 0.6) * rng.uniform(0.85, 1.15, size=n_iters)
     # -- write-back phase --------------------------------------------------
     store_ms = max(total_ms * 0.06, 0.3)
-    phases.append(
-        Phase(store_ms, ResourceDemand(sm=0.02, mem_mb=steady_mem * 0.4, tx_mbps=jitter(p.store_tx_mbps, 0.10), rx_mbps=5.0))
-    )
+    store_tx = jitter(p.store_tx_mbps, 0.10)
 
-    return WorkloadTrace(
-        name=name,
-        phases=phases,
+    # Phase table: load, n_iters x (steady, prelude, peak), store.
+    durations = np.empty(3 * n_iters + 2)
+    rows = np.empty((3 * n_iters + 2, 4))
+    durations[0] = load_ms
+    rows[0] = (0.03, steady_mem * 0.5, 10.0, load_rx)
+    durations[1:-1].reshape(n_iters, 3)[:] = (steady_ms, prelude_ms, peak_ms_per_iter)
+    body = rows[1:-1].reshape(n_iters, 3, 4)
+    body[:, 0] = (steady_sm, steady_mem, 5.0, 8.0)
+    body[:, 1, :3] = (steady_sm, steady_mem, 5.0)
+    body[:, 1, 3] = prelude_rx
+    body[:, 2] = (peak_sm, peak_mem, 20.0, 30.0)
+    durations[-1] = store_ms
+    rows[-1] = (0.02, steady_mem * 0.4, store_tx, 5.0)
+
+    return WorkloadTrace.from_table(
+        name,
+        durations,
+        rows,
         qos_class=QoSClass.BATCH,
         requested_mem_mb=min(peak_mem * requested_headroom, 16_384.0),
     )

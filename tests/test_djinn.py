@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.workloads.base import QoSClass
+from repro.workloads.base import Phase, QoSClass, ResourceDemand
 from repro.workloads.djinn_tonic import (
     DEVICE_MEM_MB,
     DJINN_TONIC_PROFILES,
@@ -81,3 +81,30 @@ class TestTraceGeneration:
         for name in DJINN_TONIC_PROFILES:
             trace = make_inference_trace(name, np.random.default_rng(1), batch_size=8)
             assert trace.total_ms < QOS_THRESHOLD_MS
+
+
+class TestMatchesPhaseListReference:
+    """The 3-row table ``make_inference_trace`` builds directly equals the
+    phase list it replaced, with the same draws in the same order."""
+
+    @pytest.mark.parametrize("name", sorted(DJINN_TONIC_PROFILES))
+    @pytest.mark.parametrize("batch_size, tf_managed", [(1, False), (32, False), (8, True)])
+    def test_bit_identical(self, name, batch_size, tf_managed):
+        ref_rng = np.random.default_rng(11)
+        p = DJINN_TONIC_PROFILES[name]
+        mem = inference_memory_mb(name, batch_size)
+        latency = float(p.base_latency_ms * (0.35 + 0.65 * np.sqrt(batch_size)) * ref_rng.uniform(0.9, 1.1))
+        phases = (
+            Phase(max(latency * 0.25, 0.5), ResourceDemand(0.05, p.base_mem_mb, 20.0, 3500.0)),
+            Phase(max(latency * 0.65, 0.5),
+                  ResourceDemand(min(p.sm_demand * ref_rng.uniform(0.9, 1.1), 1.0), mem, 30.0, 50.0)),
+            Phase(max(latency * 0.10, 0.2), ResourceDemand(0.03, p.base_mem_mb * 0.8, 600.0, 10.0)),
+        )
+        rng = np.random.default_rng(11)
+        trace = make_inference_trace(name, rng, batch_size=batch_size, tf_managed=tf_managed)
+        assert rng.uniform() == ref_rng.uniform()
+        assert trace.phases == phases
+        assert trace.total_ms == float(np.cumsum([ph.duration_ms for ph in phases])[-1])
+        assert trace.requested_mem_mb == (
+            tf_managed_memory_mb() if tf_managed else min(mem * 1.2, DEVICE_MEM_MB)
+        )

@@ -420,3 +420,36 @@ def test_cross_thread_stop_wakes_a_sleeping_pacer():
     # The head event was paced, then the stop was observed before firing.
     assert fired == 0
     assert loop.stop_requested
+
+
+# -- handles drop their callbacks --------------------------------------------
+
+
+def test_fired_and_cancelled_handles_drop_callback_and_args():
+    loop = EventLoop()
+    fired = loop.schedule(1.0, [].append, "fired")
+    cancelled = loop.schedule(2.0, [].append, "never")
+    cancelled.cancel()
+    assert cancelled.callback is None and cancelled.args is None
+    loop.run()
+    assert fired.fired
+    assert fired.callback is None and fired.args is None
+
+
+def test_cancelled_repeating_event_drops_callback():
+    loop = EventLoop()
+    rep = loop.every(1.0, lambda now: None)
+    rep.cancel()
+    assert rep.callback is None
+    assert rep._handle.callback is None
+
+
+def test_cancel_pending_empties_the_heap():
+    loop = EventLoop()
+    handles = [loop.schedule(float(i), [].append, i) for i in range(3)]
+    loop.every(1.0, lambda now: None)
+    loop.cancel_pending()
+    assert len(loop) == 0
+    assert loop._heap == []
+    assert all(h.cancelled and h.callback is None for h in handles)
+    assert loop.run() == 0

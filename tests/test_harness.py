@@ -224,6 +224,31 @@ class TestFaultPlan:
         assert PHASE_FAULT < PHASE_REPAIR < PHASE_QUANTUM
 
 
+class TestTeardown:
+    def test_harness_close_stops_chains_and_drops_quantum(self):
+        loop, harness, ticks = make_harness(tick_ms=10.0, horizon=20.0)
+        run_until_idle(loop)
+        harness.close()
+        assert harness._user_quantum is None
+        assert all(chain.cancelled and chain.callback is None for chain in harness._chains)
+        assert run_until_idle(loop) == 0
+        assert ticks == [0.0, 10.0, 20.0]
+
+    def test_unfired_one_shot_keeps_pending_but_drops_callback(self):
+        """After the end-of-run teardown a one-shot that never fired
+        still reads as pending, yet holds no reference to its plan."""
+        loop, harness, _ = make_harness(tick_ms=10.0, horizon=40.0)
+        plan = FaultPlan(
+            harness, [_Fault(10.0, "g0", 5.0), _Fault(500.0, "g1", 5.0)],
+            fail_fn=lambda g: True, repair_fn=lambda g: None,
+        )
+        run_until_idle(loop)
+        harness.close()
+        assert plan.pending == 1
+        for shot in plan._events:
+            assert shot._handle.callback is None and shot._handle.args is None
+
+
 def test_run_until_idle_returns_events_fired():
     loop = EventLoop()
     for i in range(5):

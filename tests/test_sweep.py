@@ -150,6 +150,29 @@ class TestFailurePaths:
             run_tasks([_CrashTask(0), _CrashTask(1)], jobs=2,
                       store=ResultStore(tmp_path), memo=False)
 
+    def test_pool_broken_at_submit_raises_sweep_error(self, tmp_path, monkeypatch):
+        """The first worker can die before the next task is submitted;
+        ``submit`` itself then raises ``BrokenProcessPool``.  That maps to
+        ``SweepError`` naming the task being submitted.  ``submit`` is
+        stubbed, so no worker process is started and the outcome does
+        not depend on timing."""
+        from concurrent.futures import Future, ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        submitted = []
+
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(args[0])
+            if len(submitted) == 2:
+                raise BrokenProcessPool("A child process terminated abruptly")
+            return Future()
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        with pytest.raises(SweepError, match=r"before _CrashTask\(idx=1\) could be submitted"):
+            run_tasks([_CrashTask(0), _CrashTask(1)], jobs=2,
+                      store=ResultStore(tmp_path), memo=False)
+        assert submitted == [_CrashTask(0), _CrashTask(1)]
+
     def test_sanitizer_error_survives_pickling(self):
         violation = Violation("dl-time-monotonic", 12.5, "time went backwards", {"dt": -1.0})
         err = pickle.loads(pickle.dumps(SanitizerError(violation)))

@@ -16,22 +16,76 @@ def phases_from(spec):
     ]
 
 
+def assert_both_reject(duration, sm, mem):
+    """``Phase`` and ``WorkloadTrace.from_table`` (bad row second) reject
+    the same phase with the same message."""
+    with pytest.raises(ValueError) as by_phase:
+        Phase(duration, ResourceDemand(sm, mem, 0, 0))
+    with pytest.raises(ValueError) as by_table:
+        WorkloadTrace.from_table("t", [5.0, duration], [[0.2, 1.0, 0, 0], [sm, mem, 0, 0]])
+    assert str(by_table.value) == str(by_phase.value)
+
+
 class TestValidation:
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
             WorkloadTrace("t", [])
 
     def test_bad_phase_duration(self):
-        with pytest.raises(ValueError):
-            Phase(0.0, ResourceDemand(0.1, 10, 0, 0))
+        assert_both_reject(0.0, 0.1, 10)
+        assert_both_reject(-1.0, 0.1, 10)
 
     def test_bad_sm_demand(self):
-        with pytest.raises(ValueError):
-            Phase(1.0, ResourceDemand(1.5, 10, 0, 0))
+        assert_both_reject(1.0, 1.5, 10)
+        assert_both_reject(1.0, -0.1, 10)
+        assert_both_reject(1.0, float("nan"), 10)
 
     def test_negative_memory(self):
+        assert_both_reject(1.0, 0.1, -5)
+
+    def test_table_constructor_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            Phase(1.0, ResourceDemand(0.1, -5, 0, 0))
+            WorkloadTrace.from_table("t", [], np.empty((0, 4)))
+        with pytest.raises(ValueError):
+            WorkloadTrace.from_table("t", [1.0, 2.0], [[0.1, 1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError):
+            WorkloadTrace.from_table("t", [1.0], [[0.1, 1.0, 0.0]])
+
+
+class TestTableAdapter:
+    """``WorkloadTrace(name, phases)`` and ``from_table`` build the same trace."""
+
+    SPEC = [(10, 0.1, 100), (20, 0.5, 500.5), (5, 0.3, 7)]
+
+    def test_adapter_matches_table_constructor(self):
+        by_phases = WorkloadTrace("t", phases_from(self.SPEC), requested_mem_mb=900)
+        by_table = WorkloadTrace.from_table(
+            "t", [d for d, _, _ in self.SPEC], [[s, m, 0.0, 0.0] for _, s, m in self.SPEC],
+            requested_mem_mb=900,
+        )
+        for a, b in zip(by_phases.demand_table(), by_table.demand_table()):
+            assert a.dtype == b.dtype == np.float64
+            assert a.tobytes() == b.tobytes()
+        assert by_table.phases == by_phases.phases
+        assert by_table.total_ms == by_phases.total_ms == 35.0
+
+    def test_phases_built_lazily_from_the_table(self):
+        trace = WorkloadTrace.from_table("t", [1.0, 2.0], [[0.1, 10.0, 1.0, 2.0], [0.9, 20.0, 3.0, 4.0]])
+        assert trace._phases is None
+        trace.demand_at(1.5)
+        trace.peak_mem_mb()
+        assert trace._phases is None
+        assert trace.phases == (
+            Phase(1.0, ResourceDemand(0.1, 10.0, 1.0, 2.0)),
+            Phase(2.0, ResourceDemand(0.9, 20.0, 3.0, 4.0)),
+        )
+        assert trace.phases is trace.phases
+
+    def test_demand_at_returns_python_floats(self):
+        trace = WorkloadTrace.from_table("t", [1.0], [[0.25, 10.0, 1.0, 2.0]])
+        demand = trace.demand_at(0.5)
+        assert demand == ResourceDemand(0.25, 10.0, 1.0, 2.0)
+        assert all(type(v) is float for v in (demand.sm, demand.mem_mb, demand.tx_mbps, demand.rx_mbps))
 
 
 class TestDemandLookup:
